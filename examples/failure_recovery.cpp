@@ -2,7 +2,7 @@
 /// Walk-through of SPMS's fault tolerance on the paper's Section 3.5
 /// topology (source A, relays r1/r2, destination C in a line).  We crash r2
 /// right after it advertises the data — the paper's "failure case 2" — and
-/// print the protocol's trace: C first requests its PRONE (r2), times out,
+/// print the typed event trace: C first requests its PRONE (r2), times out,
 /// and recovers by pulling from the SCONE (r1) directly at a higher power.
 ///
 /// Run:  ./failure_recovery
@@ -13,6 +13,7 @@
 #include "core/collector.hpp"
 #include "core/spms.hpp"
 #include "net/network.hpp"
+#include "obs/event_trace.hpp"
 #include "routing/bellman_ford.hpp"
 #include "sim/simulation.hpp"
 
@@ -36,16 +37,27 @@ int main() {
   });
 
   const char* names[] = {"A ", "r1", "r2", "C "};
+  auto name = [&](net::NodeId id) { return id.valid() && id.v < 4 ? names[id.v] : "? "; };
+  const net::NodeId r2{2}, c{3};
+  const net::DataId item{net::NodeId{0}, 0};
   bool crash_armed = true;
-  sim.trace().set_sink([&](const sim::TraceEvent& e) {
-    std::cout << "  [" << std::setw(7) << std::fixed << std::setprecision(3) << e.at.to_ms()
-              << " ms] " << e.message << "\n";
+  sim.events().set_sink([&](const obs::TraceRecord& r) {
+    std::cout << "  [" << std::setw(7) << std::fixed << std::setprecision(3) << r.at.to_ms()
+              << " ms] " << std::left << std::setw(18) << obs::trace_kind_name(r.kind)
+              << std::right << " " << name(r.node);
+    if (r.peer.valid()) std::cout << " peer " << name(r.peer);
+    if (r.via.valid()) std::cout << " via " << name(r.via);
+    if (const char* cause = obs::trace_cause_name(r.kind, r.cause)) {
+      std::cout << " (" << cause << ")";
+    }
+    std::cout << "\n";
     // Crash r2 as soon as C's direct REQ to it is in the air (failure case 2).
-    if (crash_armed && e.message.rfind("req-direct n3 n0#0 to n2", 0) == 0) {
+    if (crash_armed && r.kind == obs::TraceKind::kSpmsReqDirect && r.node == c && r.peer == r2 &&
+        r.item == item) {
       crash_armed = false;
       sim.after(sim::Duration::ms(0.05), [&] {
         std::cout << "  >>> r2 crashes (transient failure) <<<\n";
-        net.set_up(net::NodeId{2}, false);
+        net.set_up(r2, false);
       });
     }
   });
@@ -54,7 +66,6 @@ int main() {
             << "topology: A --5m-- r1 --5m-- r2 --5m-- C, zone radius 16 m\n"
             << "node ids: A=n0  r1=n1  r2=n2  C=n3\n\n";
 
-  const net::DataId item{net::NodeId{0}, 0};
   collector.record_publish(item, sim.now(), interest.expected_count(item));
   spms.publish(net::NodeId{0}, item);
   sim.run();

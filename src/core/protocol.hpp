@@ -1,7 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <string_view>
 
@@ -81,21 +79,17 @@ class DisseminationProtocol {
 
   /// Count of (node, item) acquisitions abandoned after max_retries; used by
   /// the failure experiments to report residual losses.
-  [[nodiscard]] std::uint64_t given_up() const {
-    return given_up_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t given_up() const { return given_up_; }
 
  protected:
   void notify_delivered(net::NodeId node, net::DataId item, sim::TimePoint at) const {
     if (deliver_) deliver_(node, item, at);
   }
-  /// Relaxed atomic: give-ups on spatially-disjoint nodes may be counted
-  /// concurrently by parallel event groups; the sum is order-independent.
-  void count_give_up() { given_up_.fetch_add(1, std::memory_order_relaxed); }
+  void count_give_up() { ++given_up_; }
 
  private:
   DeliveryCallback deliver_;
-  std::atomic<std::uint64_t> given_up_{0};
+  std::uint64_t given_up_ = 0;
 };
 
 }  // namespace spms::core

@@ -450,7 +450,7 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
     if (net_.distance_between(self, req.target) <= net_.radio().max_range()) {
       next = req.target;
     } else {
-      unroutable_.fetch_add(1, std::memory_order_relaxed);
+      ++unroutable_;
       return;
     }
   }

@@ -7,25 +7,6 @@ namespace spms::obs {
 
 namespace {
 
-void append_node(std::string& s, net::NodeId id) {
-  s += 'n';
-  if (id.v == net::NodeId::kInvalid) {
-    s += '?';
-    return;
-  }
-  char buf[16];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, id.v);
-  s.append(buf, p);
-}
-
-void append_item(std::string& s, net::DataId item) {
-  append_node(s, item.origin);
-  s += '#';
-  char buf[16];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, item.seq);
-  s.append(buf, p);
-}
-
 /// Shortest round-trip double rendering (same contract as the store's
 /// canonical JSON; duplicated here because obs must not depend on exp).
 void append_double(std::string& s, double v) {
@@ -40,86 +21,7 @@ void append_u64(std::string& s, std::uint64_t v) {
   s.append(buf, p);
 }
 
-/// message = "<verb> <node> <item>" + optional suffix pieces.
-std::string verb_line(const char* verb, const TraceRecord& r) {
-  std::string m{verb};
-  m += ' ';
-  append_node(m, r.node);
-  m += ' ';
-  append_item(m, r.item);
-  return m;
-}
-
 }  // namespace
-
-std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
-  switch (r.kind) {
-    case TraceKind::kSpmsAdv:
-      return LegacyLine{"spms", verb_line("adv", r)};
-    case TraceKind::kSpmsReqDirect: {
-      auto m = verb_line("req-direct", r);
-      m += " to ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsReqMultihop: {
-      auto m = verb_line("req-multihop", r);
-      m += " to ";
-      append_node(m, r.peer);
-      m += " via ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsReqCrosszone: {
-      auto m = verb_line("req-crosszone", r);
-      m += " to ";
-      append_node(m, r.peer);
-      m += " via ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsCourierAdv:
-      return LegacyLine{"spms", verb_line("courier-adv", r)};
-    case TraceKind::kSpmsRelayReq: {
-      auto m = verb_line("relay-req", r);
-      m += " for ";
-      append_node(m, r.peer);
-      m += " to ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsRelayData: {
-      auto m = verb_line("relay-data", r);
-      m += " for ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsData: {
-      auto m = verb_line("data", r);
-      m += " from ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpinAdv:
-      return LegacyLine{"spin", verb_line("adv", r)};
-    case TraceKind::kSpinReq: {
-      auto m = verb_line("req", r);
-      m += " to ";
-      append_node(m, r.peer);
-      return LegacyLine{"spin", std::move(m)};
-    }
-    case TraceKind::kSpinData: {
-      auto m = verb_line("data", r);
-      m += " from ";
-      append_node(m, r.peer);
-      return LegacyLine{"spin", std::move(m)};
-    }
-    case TraceKind::kNodeDown:
-      return LegacyLine{"failure", "node down"};
-    default:
-      return std::nullopt;
-  }
-}
 
 const char* trace_kind_name(TraceKind k) {
   switch (k) {
@@ -207,8 +109,8 @@ void append_record_json(const TraceRecord& r, std::string& out) {
     append_u64(out, r.parent.v);
   }
   if (r.item.origin.valid()) {
-    out += ",\"item\":\"";
-    append_node(out, r.item.origin);
+    out += ",\"item\":\"n";
+    append_u64(out, r.item.origin.v);
     out += '#';
     append_u64(out, r.item.seq);
     out += '"';

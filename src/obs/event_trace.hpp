@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,10 +17,8 @@
 ///
 ///  * a bounded ring buffer keeps the last N records in memory (post-mortem
 ///    of long runs without unbounded growth);
-///  * a telemetry sink streams records (e.g. to a JSONL file);
-///  * a legacy sink receives the records that have a string-era rendering,
-///    formatted on demand by format_legacy() — this is what keeps the old
-///    `sim::Trace` string API alive as a thin adapter.
+///  * a telemetry sink streams records (e.g. to a JSONL file; tests assert
+///    on the typed records directly).
 ///
 /// When no consumer is installed, enabled() is false and every emit site is
 /// a single branch — records are never even constructed.  Emission never
@@ -40,7 +37,7 @@ enum class TraceKind : std::uint8_t {
   kFaultTransition,       ///< node went down / was repaired / died; cause = FaultPhase
   kBatteryThreshold,      ///< residual crossed a bucket; cause = BatteryBucket
   kRouteChange,           ///< DBF rebuild changed `value` entries at `node`
-  // Protocol verbs (the records behind the legacy string trace).
+  // Protocol verbs.
   kSpmsAdv,               ///< zone-wide ADV of `item` by `node`
   kSpmsReqDirect,         ///< REQ to `peer` (single hop)
   kSpmsReqMultihop,       ///< REQ to `peer` via `via`
@@ -52,7 +49,7 @@ enum class TraceKind : std::uint8_t {
   kSpinAdv,
   kSpinReq,               ///< REQ of `item` to `peer`
   kSpinData,              ///< DATA of `item` from `peer`
-  kNodeDown,              ///< legacy FailureInjector crash notice
+  kNodeDown,              ///< FailureInjector crash notice
   kFloodData,             ///< flooding: first copy of `item` reached `node` from `peer`
   kGiveUp,                ///< acquisition abandoned after max retries; value = attempts
 };
@@ -89,33 +86,25 @@ enum class BatteryBucket : std::uint8_t {
 
 /// One fixed-size trace record.  `cause` is interpreted per kind (DropCause,
 /// FaultPhase or BatteryBucket); unused fields stay at their invalid /
-/// zero defaults and are omitted from the JSONL rendering.
+/// zero defaults and are omitted from the JSONL rendering.  Every member
+/// has a default member initializer, so designated initializers may name
+/// any subset of fields (GCC's -Wmissing-field-initializers stays quiet).
 struct TraceRecord {
-  sim::TimePoint at;
+  sim::TimePoint at{};
   TraceKind kind = TraceKind::kPublish;
   std::uint8_t cause = 0;
-  net::NodeId node;   ///< primary subject
-  net::NodeId peer;   ///< counterpart (REQ target, DATA source, requester…)
-  net::NodeId via;    ///< relay / next hop where applicable
+  net::NodeId node{};  ///< primary subject
+  net::NodeId peer{};  ///< counterpart (REQ target, DATA source, requester…)
+  net::NodeId via{};   ///< relay / next hop where applicable
   /// Causal parent of this record's (item, node) span: the upstream node
   /// whose span the data came from (the answering holder for SPMS — which
   /// may differ from `peer` when relays carried the DATA — the serving
   /// advertiser for SPIN, the rebroadcaster for flooding).  Invalid on
   /// records that carry no causality; SpanTrace links journeys through it.
-  net::NodeId parent;
-  net::DataId item;
+  net::NodeId parent{};
+  net::DataId item{};
   double value = 0.0;  ///< delay ms, residual fraction, changed entries…
 };
-
-/// A legacy (category, message) rendering of a typed record.
-struct LegacyLine {
-  std::string category;
-  std::string message;
-};
-
-/// Renders `r` exactly as the string-based trace used to (e.g. kSpmsAdv ->
-/// ("spms", "adv n3 n0#1")), or nullopt for kinds the string era never had.
-[[nodiscard]] std::optional<LegacyLine> format_legacy(const TraceRecord& r);
 
 /// Stable kind name used in the JSONL rendering ("frame-drop", …).
 [[nodiscard]] const char* trace_kind_name(TraceKind k);
@@ -127,8 +116,8 @@ struct LegacyLine {
 /// Appends the single-line JSON rendering of `r` (no trailing newline).
 void append_record_json(const TraceRecord& r, std::string& out);
 
-/// The typed trace hub.  At most one telemetry sink, one legacy sink and
-/// one optional ring buffer; enabled() is true when any consumer exists.
+/// The typed trace hub.  At most one telemetry sink and one optional ring
+/// buffer; enabled() is true when either exists.
 class EventTrace {
  public:
   using Sink = std::function<void(const TraceRecord&)>;
@@ -136,12 +125,6 @@ class EventTrace {
   /// Installs (or clears, with nullptr) the telemetry sink.
   void set_sink(Sink sink) {
     sink_ = std::move(sink);
-    refresh_enabled();
-  }
-
-  /// Installs (or clears) the legacy-adapter sink (see sim::Trace).
-  void set_legacy_sink(Sink sink) {
-    legacy_sink_ = std::move(sink);
     refresh_enabled();
   }
 
@@ -160,7 +143,7 @@ class EventTrace {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Records `r`: appends to the ring (evicting the oldest when full) and
-  /// forwards to both sinks.  No-op when nothing is installed.
+  /// forwards to the sink.  No-op when nothing is installed.
   void emit(const TraceRecord& r) {
     if (!enabled_) return;
     ++emitted_;
@@ -174,7 +157,6 @@ class EventTrace {
       }
     }
     if (sink_) sink_(r);
-    if (legacy_sink_) legacy_sink_(r);
   }
 
   /// Records currently retained, oldest first.
@@ -187,11 +169,10 @@ class EventTrace {
 
  private:
   void refresh_enabled() {
-    enabled_ = static_cast<bool>(sink_) || static_cast<bool>(legacy_sink_) || ring_capacity_ > 0;
+    enabled_ = static_cast<bool>(sink_) || ring_capacity_ > 0;
   }
 
   Sink sink_;
-  Sink legacy_sink_;
   std::vector<TraceRecord> ring_;
   std::size_t ring_capacity_ = 0;
   std::size_t ring_head_ = 0;

@@ -8,9 +8,12 @@
 #include "core/collector.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
+#include "trace_match.hpp"
 
 namespace spms::core {
 namespace {
+
+using K = obs::TraceKind;
 
 net::MacParams quiet_mac() {
   net::MacParams mac;
@@ -29,7 +32,7 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) { trace.push_back(e); });
+    sim.events().set_sink([this](const obs::TraceRecord& r) { trace.push_back(r); });
   }
 
   net::DataId publish(net::NodeId source) {
@@ -39,12 +42,8 @@ struct Rig {
     return item;
   }
 
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spin" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
+  [[nodiscard]] std::size_t trace_count(const obs::TraceRecord& want) const {
+    return test::trace_count(trace, want);
   }
 
   sim::Simulation sim;
@@ -53,7 +52,7 @@ struct Rig {
   SpinProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<sim::TraceEvent> trace;
+  std::vector<obs::TraceRecord> trace;
 };
 
 constexpr net::NodeId kA{0}, kB{1}, kC{2};
@@ -135,9 +134,9 @@ TEST(SpinProtocolTest, AdvertisesAtMostOncePerItem) {
   Rig rig({{0, 0}, {5, 0}, {10, 0}}, 22.0, 3);
   rig.publish(kA);
   rig.sim.run();
-  EXPECT_EQ(rig.trace_count("adv n0"), 1u);
-  EXPECT_EQ(rig.trace_count("adv n1"), 1u);
-  EXPECT_EQ(rig.trace_count("adv n2"), 1u);
+  EXPECT_EQ(rig.trace_count({.kind = K::kSpinAdv, .node = kA}), 1u);
+  EXPECT_EQ(rig.trace_count({.kind = K::kSpinAdv, .node = kB}), 1u);
+  EXPECT_EQ(rig.trace_count({.kind = K::kSpinAdv, .node = kC}), 1u);
 }
 
 TEST(SpinProtocolTest, DeterministicForSameSeed) {

@@ -7,12 +7,15 @@
 #include "core/spms.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
+#include "trace_match.hpp"
 
 /// Tests for the paper's flagged extensions (Sections 3.4 and 6): multiple
 /// SCONEs and relay data caching.
 
 namespace spms::core {
 namespace {
+
+using K = obs::TraceKind;
 
 net::MacParams quiet_mac() {
   net::MacParams mac;
@@ -32,9 +35,9 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) {
-      trace.push_back(e);
-      if (on_trace) on_trace(e);
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      trace.push_back(r);
+      if (on_trace) on_trace(r);
     });
   }
 
@@ -49,12 +52,8 @@ struct Rig {
     return std::find(delivered.begin(), delivered.end(), id) != delivered.end();
   }
 
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spms" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
+  [[nodiscard]] std::size_t trace_count(const obs::TraceRecord& want) const {
+    return test::trace_count(trace, want);
   }
 
   sim::Simulation sim;
@@ -64,8 +63,8 @@ struct Rig {
   SpmsProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<sim::TraceEvent> trace;
-  std::function<void(const sim::TraceEvent&)> on_trace;
+  std::vector<obs::TraceRecord> trace;
+  std::function<void(const obs::TraceRecord&)> on_trace;
 };
 
 // A -- r1 -- r2 -- r3 -- C in a line, 5 m pitch, one shared 21 m zone.
@@ -73,6 +72,12 @@ std::vector<net::Point> five_line() {
   return {{0, 0}, {5, 0}, {10, 0}, {15, 0}, {20, 0}};
 }
 constexpr net::NodeId kA{0}, kR1{1}, kR2{2}, kR3{3}, kC{4};
+constexpr net::DataId kItem{kA, 0};
+
+/// C's direct REQ for the published item, addressed to `peer`.
+obs::TraceRecord c_req_to(net::NodeId peer) {
+  return {.kind = K::kSpmsReqDirect, .node = kC, .peer = peer, .item = kItem};
+}
 
 TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
   // C promotes holders as they advertise: r3 (closest), then r2, then r1 are
@@ -82,12 +87,12 @@ TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
   SpmsExtensions ext;
   ext.num_scones = 2;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::TraceRecord& r) {
     // Crash each relay right after C's REQ to it goes out.
-    if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
+    if (test::trace_matches(r, c_req_to(kR3)) && rig.net.is_up(kR3)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
     }
-    if (e.message.rfind("req-direct n4 n0#0 to n2", 0) == 0 && rig.net.is_up(kR2)) {
+    if (test::trace_matches(r, c_req_to(kR2)) && rig.net.is_up(kR2)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
     }
   };
@@ -96,8 +101,8 @@ TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
 
   EXPECT_TRUE(rig.node_delivered(kC));
   // The ladder reached r1 (the second SCONE) directly.
-  EXPECT_GE(rig.trace_count("req-direct n4 n0#0 to n1"), 1u);
-  EXPECT_GE(rig.trace_count("data n4"), 1u);
+  EXPECT_GE(rig.trace_count(c_req_to(kR1)), 1u);
+  EXPECT_GE(rig.trace_count({.kind = K::kSpmsData, .node = kC}), 1u);
 }
 
 TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
@@ -106,11 +111,11 @@ TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
   SpmsExtensions ext;
   ext.num_scones = 1;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const sim::TraceEvent& e) {
-    if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
+  rig.on_trace = [&](const obs::TraceRecord& r) {
+    if (test::trace_matches(r, c_req_to(kR3)) && rig.net.is_up(kR3)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
     }
-    if (e.message.rfind("req-direct n4 n0#0 to n2", 0) == 0 && rig.net.is_up(kR2)) {
+    if (test::trace_matches(r, c_req_to(kR2)) && rig.net.is_up(kR2)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
     }
   };
@@ -118,7 +123,7 @@ TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
   rig.sim.run();
 
   EXPECT_TRUE(rig.node_delivered(kC));
-  EXPECT_GE(rig.trace_count("req-direct n4 n0#0 to n0"), 1u);  // the source
+  EXPECT_GE(rig.trace_count(c_req_to(kA)), 1u);  // the source
 }
 
 TEST(SpmsMultiScone, PromotionKeepsListBounded) {
@@ -146,7 +151,8 @@ TEST(SpmsRelayCaching, RelaysCacheAndAdvertise) {
     rig.publish(net::NodeId{0});
     rig.sim.run();
     EXPECT_TRUE(rig.collector.all_delivered());
-    EXPECT_GE(rig.trace_count("adv n1"), 1u);  // B holds the data either way here
+    // B holds the data either way here.
+    EXPECT_GE(rig.trace_count({.kind = K::kSpmsAdv, .node = kR1}), 1u);
   }
 }
 
@@ -169,8 +175,8 @@ TEST(SpmsRelayCaching, UninterestedRelayCachesOnlyWithExtension) {
     ext.relay_caching = caching;
     SpmsProtocol proto(sim, net, routing, interest, ProtocolParams{}, ext);
     std::size_t relay_advs = 0;
-    sim.trace().set_sink([&](const sim::TraceEvent& e) {
-      if (e.category == "spms" && e.message.rfind("adv n1", 0) == 0) ++relay_advs;
+    sim.events().set_sink([&](const obs::TraceRecord& r) {
+      if (test::trace_matches(r, {.kind = K::kSpmsAdv, .node = kR1})) ++relay_advs;
     });
     proto.publish(net::NodeId{0}, {net::NodeId{0}, 0});
     sim.run();
@@ -195,19 +201,24 @@ TEST(SpmsRelayCaching, ImprovesRecoveryPath) {
   // Everyone ends up holding (receivers by request, relays by caching), and
   // each holder advertised exactly once.
   for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(rig.trace_count("adv n" + std::to_string(i) + " "), 1u) << "node " << i;
+    EXPECT_EQ(rig.trace_count({.kind = K::kSpmsAdv, .node = net::NodeId{i}}), 1u) << "node " << i;
   }
 }
 
 // --- Cross-zone dissemination (Section 6 future work) -----------------------
 
+constexpr net::NodeId kFar{8};
+/// The far node's cross-zone REQ.
+const obs::TraceRecord kFarReq{.kind = K::kSpmsReqCrosszone, .node = kFar};
+
 /// Only the far end of a long line is interested; everyone in between is a
 /// bystander.  0..8 at 5 m pitch with a 12 m zone: node 8 sits three zones
 /// away from the source — unreachable for published SPMS.
+
 class FarEndOnly final : public Interest {
  public:
   [[nodiscard]] bool wants(net::NodeId node, net::DataId item) const override {
-    return node == net::NodeId{8} && node != item.origin;
+    return node == kFar && node != item.origin;
   }
   [[nodiscard]] std::size_t expected_count(net::DataId) const override { return 1; }
 };
@@ -221,9 +232,9 @@ struct CrossZoneRig {
     proto.set_delivery_callback([this](net::NodeId node, net::DataId item, sim::TimePoint at) {
       collector.record_delivery(node, item, at);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) {
-      trace.push_back(e);
-      if (on_trace) on_trace(e);
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      trace.push_back(r);
+      if (on_trace) on_trace(r);
     });
   }
   static std::vector<net::Point> line9() {
@@ -236,12 +247,8 @@ struct CrossZoneRig {
     collector.record_publish(item, sim.now(), interest.expected_count(item));
     proto.publish(net::NodeId{0}, item);
   }
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spms" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
+  [[nodiscard]] std::size_t trace_count(const obs::TraceRecord& want) const {
+    return test::trace_count(trace, want);
   }
   sim::Simulation sim;
   net::Network net;
@@ -249,8 +256,8 @@ struct CrossZoneRig {
   FarEndOnly interest;
   SpmsProtocol proto;
   Collector collector;
-  std::vector<sim::TraceEvent> trace;
-  std::function<void(const sim::TraceEvent&)> on_trace;
+  std::vector<obs::TraceRecord> trace;
+  std::function<void(const obs::TraceRecord&)> on_trace;
 };
 
 TEST(SpmsCrossZone, PublishedProtocolCannotReachSeparateZones) {
@@ -258,7 +265,7 @@ TEST(SpmsCrossZone, PublishedProtocolCannotReachSeparateZones) {
   rig.publish();
   rig.sim.run();
   EXPECT_EQ(rig.collector.deliveries(), 0u);
-  EXPECT_EQ(rig.trace_count("courier-adv"), 0u);
+  EXPECT_EQ(rig.trace_count({.kind = K::kSpmsCourierAdv}), 0u);
 }
 
 TEST(SpmsCrossZone, MetadataCourierReachesTheFarZone) {
@@ -269,9 +276,9 @@ TEST(SpmsCrossZone, MetadataCourierReachesTheFarZone) {
   rig.sim.run();
   EXPECT_TRUE(rig.collector.all_delivered())
       << rig.collector.deliveries() << "/" << rig.collector.expected_deliveries();
-  EXPECT_GE(rig.trace_count("courier-adv"), 2u);      // at least two zone crossings
-  EXPECT_GE(rig.trace_count("req-crosszone n8"), 1u); // the far node pulled
-  EXPECT_GE(rig.trace_count("data n8"), 1u);
+  EXPECT_GE(rig.trace_count({.kind = K::kSpmsCourierAdv}), 2u);  // at least two zone crossings
+  EXPECT_GE(rig.trace_count(kFarReq), 1u);                         // the far node pulled
+  EXPECT_GE(rig.trace_count({.kind = K::kSpmsData, .node = kFar}), 1u);
 }
 
 TEST(SpmsCrossZone, TtlBoundsThePropagation) {
@@ -281,7 +288,7 @@ TEST(SpmsCrossZone, TtlBoundsThePropagation) {
   rig.publish();
   rig.sim.run();
   EXPECT_EQ(rig.collector.deliveries(), 0u);
-  EXPECT_GE(rig.trace_count("courier-adv"), 1u);
+  EXPECT_GE(rig.trace_count({.kind = K::kSpmsCourierAdv}), 1u);
 }
 
 TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
@@ -292,8 +299,8 @@ TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
   // moment the far node's first REQ goes out; it recovers 30 ms later and
   // the requester's bounded re-send along the same trail completes the pull.
   bool crashed = false;
-  rig.on_trace = [&](const sim::TraceEvent& e) {
-    if (!crashed && e.message.rfind("req-crosszone n8", 0) == 0) {
+  rig.on_trace = [&](const obs::TraceRecord& r) {
+    if (!crashed && test::trace_matches(r, kFarReq)) {
       crashed = true;
       rig.net.set_up(net::NodeId{4}, false);
       rig.sim.after(sim::Duration::ms(30.0), [&] { rig.net.set_up(net::NodeId{4}, true); });
@@ -302,7 +309,7 @@ TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
   rig.publish();
   rig.sim.run();
   EXPECT_TRUE(rig.collector.all_delivered());
-  EXPECT_GE(rig.trace_count("req-crosszone n8"), 2u);  // original + re-send
+  EXPECT_GE(rig.trace_count(kFarReq), 2u);  // original + re-send
 }
 
 TEST(SpmsCrossZone, InZoneNodesStillUseNormalOperation) {

@@ -188,6 +188,40 @@ TEST(SchedulerTest, EventLimitGuards) {
   EXPECT_TRUE(s.event_limit_hit());
 }
 
+TEST(SchedulerTest, SameTimeCancelOfLaterEventWins) {
+  // A (earlier seq) cancels B at the same timestamp: B never runs, and an
+  // unrelated same-time event still does, in FIFO order.
+  Scheduler s;
+  std::vector<int> order;
+  const auto t = TimePoint::at(Duration::millis(1));
+  EventHandle hb{};
+  s.schedule_at(t, [&] {
+    order.push_back(1);
+    s.cancel(hb);
+  });
+  hb = s.schedule_at(t, [&] { order.push_back(2); });
+  s.schedule_at(t, [&] { order.push_back(3); });
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(s.events_cancelled(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(SchedulerTest, RunningEventCancelsFutureEvent) {
+  Scheduler s;
+  bool later_ran = false;
+  const auto h = s.schedule_at(TimePoint::at(Duration::millis(9)), [&] { later_ran = true; });
+  for (int i = 0; i < 8; ++i) {
+    s.schedule_at(TimePoint::at(Duration::millis(1)), [&s, h, i] {
+      if (i == 3) s.cancel(h);
+    });
+  }
+  EXPECT_EQ(s.run(), 8u);
+  EXPECT_FALSE(later_ran);
+  EXPECT_EQ(s.events_cancelled(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(SchedulerTest, EventsScheduledDuringRunExecute) {
   Scheduler s;
   int depth = 0;
@@ -215,19 +249,22 @@ TEST(SimulationTest, FacadeWiresSchedulerAndRng) {
 
 TEST(SimulationTest, TraceSinkReceivesEvents) {
   Simulation sim{1};
-  std::vector<TraceEvent> got;
-  sim.trace().set_sink([&](const TraceEvent& e) { got.push_back(e); });
-  EXPECT_TRUE(sim.trace().enabled());
-  sim.trace().emit(sim.now(), "test", "hello");
+  std::vector<obs::TraceRecord> got;
+  sim.events().set_sink([&](const obs::TraceRecord& r) { got.push_back(r); });
+  EXPECT_TRUE(sim.events().enabled());
+  sim.events().emit({.at = sim.now(), .kind = obs::TraceKind::kSpmsAdv, .node = net::NodeId{3},
+                     .item = net::DataId{net::NodeId{0}, 1}});
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].category, "test");
-  EXPECT_EQ(got[0].message, "hello");
+  EXPECT_EQ(got[0].kind, obs::TraceKind::kSpmsAdv);
+  EXPECT_EQ(got[0].node, net::NodeId{3});
+  EXPECT_EQ(got[0].item, (net::DataId{net::NodeId{0}, 1}));
 }
 
 TEST(SimulationTest, TraceDisabledByDefault) {
   Simulation sim{1};
-  EXPECT_FALSE(sim.trace().enabled());
-  sim.trace().emit(sim.now(), "x", "y");  // must not crash
+  EXPECT_FALSE(sim.events().enabled());
+  sim.events().emit({.at = sim.now(), .kind = obs::TraceKind::kNodeDown});  // dropped
+  EXPECT_EQ(sim.events().emitted(), 0u);
 }
 
 }  // namespace
