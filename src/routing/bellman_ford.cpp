@@ -14,35 +14,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
-
-/// Above this node count the dense per-node destination index (n ids per
-/// node, so O(n^2) memory total) is skipped in favour of binary search over
-/// the sorted destination list.
-constexpr std::size_t kDenseIndexMaxNodes = 4096;
-
-/// Advertised distance-vector state of one node during the DBF run.
-///
-/// A node's destination set is fixed the moment its vector is initialized
-/// (itself plus its zone — synchronous relaxation never adds entries), so
-/// instead of a hash map the vector is a sorted destination list with a
-/// parallel (cost, hops) array.  The destination list never changes across
-/// rounds, so only `val` is double-buffered and the per-round state copy is
-/// a flat memcpy that reuses capacity, instead of rebuilding node-count
-/// hash maps (which used to dominate the rebuild's allocation count).
-/// Entry order is sorted by id rather than hash order; every
-/// per-destination relaxation is independent, so results are unchanged.
-struct NodeVec {
-  std::vector<net::NodeId> dests;           ///< sorted; includes the node itself
-  std::vector<std::size_t> slot_of;         ///< dense: slot_of[dest.v] or kNoEntry
-  std::vector<std::pair<double, int>> val;  ///< (cost, hops), parallel to dests
-
-  /// Index of `dest` or kNoEntry when the node does not advertise it.
-  [[nodiscard]] std::size_t find(net::NodeId dest) const {
-    if (!slot_of.empty()) return slot_of[dest.v];
-    const auto it = std::lower_bound(dests.begin(), dests.end(), dest);
-    if (it == dests.end() || *it != dest) return kNoEntry;
-    return static_cast<std::size_t>(it - dests.begin());
+/// A node's distance-vector entry for one destination: path cost, then hop
+/// count, compared lexicographically exactly as the DBF relaxation does.
+struct Label {
+  double cost;
+  int hops;
+  [[nodiscard]] bool operator<(const Label& o) const {
+    return cost < o.cost || (cost == o.cost && hops < o.hops);
   }
 };
 
@@ -63,7 +41,7 @@ DbfStats RoutingService::rebuild() {
 
   // Cache link weights w(u,v) for v in zone(u), parallel to the zone list;
   // zone membership guarantees the link exists (zone radius <= max radio
-  // range).
+  // range).  Distances are symmetric to the bit, so w(u,v) == w(v,u).
   std::vector<std::vector<double>> weight(n);
   for (std::size_t u = 0; u < n; ++u) {
     const net::NodeId uid{static_cast<std::uint32_t>(u)};
@@ -76,112 +54,95 @@ DbfStats RoutingService::rebuild() {
     }
   }
 
-  // Initial vectors: self at cost 0; every zone neighbor via the direct link.
-  // The zone list is sorted ascending, so splicing the node's own id into it
-  // keeps `dests` sorted for binary-search lookup.
-  std::vector<NodeVec> vec(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    const net::NodeId uid{static_cast<std::uint32_t>(u)};
-    const auto& zone = zones_->zone(uid);
-    NodeVec& nv = vec[u];
-    nv.dests.reserve(zone.size() + 1);
-    nv.val.reserve(zone.size() + 1);
-    bool self_placed = false;
-    for (std::size_t j = 0; j < zone.size(); ++j) {
-      if (!self_placed && uid < zone[j]) {
-        nv.dests.push_back(uid);
-        nv.val.emplace_back(0.0, 0);
-        self_placed = true;
+  // Each destination's entries relax independently of every other's: the
+  // vectors that carry d are those of S_d = {d} + zone(d), and a node hears
+  // only its own zone.  So the synchronous rounds run one destination at a
+  // time, over S_d's links in a local CSR, and a round re-sends only the
+  // labels that changed in the previous round: an unchanged neighbor offers
+  // the candidate it offered before, which the receiver already holds or
+  // beat.  Each round's labels, and so the tables, the round count and the
+  // energy, are those of all destinations' rounds run together, to the bit
+  // (w(u,v) == w(v,u), and w + c == c + w in IEEE arithmetic).
+  struct Arc {
+    std::uint32_t to;  ///< local index in S_d
+    double w;
+  };
+  constexpr auto kNone = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> member(n, kNone);  // member[v] == d: v is in S_d
+  std::vector<std::uint32_t> local(n);          // v's index in S_d
+  std::vector<std::uint32_t> nodes;             // S_d: d first, then zone(d)
+  std::vector<std::uint32_t> arcs_begin;
+  std::vector<Arc> arcs;
+  std::vector<Label> label;
+  std::vector<std::uint32_t> sent_in;  // last round each label was queued to send
+  std::vector<std::uint32_t> changed;
+  std::vector<std::pair<std::uint32_t, Label>> sent;
+  std::size_t rounds_to_quiet = 1;  // first round in which no label changes
+  bool cut_short = false;           // max_rounds stopped some destination
+  for (std::uint32_t u = 0; u < n; ++u) tables_[u].reserve(zones_->zone(net::NodeId{u}).size());
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const auto& zone_d = zones_->zone(net::NodeId{d});
+    nodes.assign(1, d);
+    member[d] = d;
+    local[d] = 0;
+    for (const net::NodeId v : zone_d) {
+      member[v.v] = d;
+      local[v.v] = static_cast<std::uint32_t>(nodes.size());
+      nodes.push_back(v.v);
+    }
+    const std::size_t k = nodes.size();
+    arcs_begin.clear();
+    arcs.clear();
+    for (const std::uint32_t v : nodes) {
+      arcs_begin.push_back(static_cast<std::uint32_t>(arcs.size()));
+      const auto& zone_v = zones_->zone(net::NodeId{v});
+      for (std::size_t j = 0; j < zone_v.size(); ++j) {
+        if (member[zone_v[j].v] == d) arcs.push_back({local[zone_v[j].v], weight[v][j]});
       }
-      nv.dests.push_back(zone[j]);
-      nv.val.emplace_back(weight[u][j], 1);
     }
-    if (!self_placed) {
-      nv.dests.push_back(uid);
-      nv.val.emplace_back(0.0, 0);
+    arcs_begin.push_back(static_cast<std::uint32_t>(arcs.size()));
+
+    // Initial vectors: d at cost 0 (never improved: every candidate has a
+    // hop), every zone neighbor via the direct link.
+    label.assign(k, Label{0.0, 0});
+    sent_in.assign(k, 0);
+    changed.clear();
+    for (std::uint32_t i = 1; i < k; ++i) {
+      label[i] = {weight[d][i - 1], 1};
+      changed.push_back(i);
     }
-    if (n <= kDenseIndexMaxNodes) {
-      nv.slot_of.assign(n, kNoEntry);
-      for (std::size_t i = 0; i < nv.dests.size(); ++i) nv.slot_of[nv.dests[i].v] = i;
-    }
-  }
-
-  DbfStats stats;
-  const double energy_before = net_.energy().routing_uj();
-
-  bool changed = true;
-  // Next-round values only: dests/slot_of never change, so the round copy is
-  // a capacity-reusing memcpy of the (cost, hops) arrays.
-  std::vector<std::vector<std::pair<double, int>>> next_val(n);
-  while (changed && stats.rounds < params_.max_rounds) {
-    ++stats.rounds;
-    changed = false;
-
-    // Every node broadcasts its vector once per round; charge the traffic.
-    if (params_.charge_energy) {
-      for (std::size_t u = 0; u < n; ++u) {
-        const net::NodeId uid{static_cast<std::uint32_t>(u)};
-        const std::size_t bytes =
-            params_.header_bytes + params_.bytes_per_entry * (vec[u].dests.size() - 1);
-        net_.charge_tx(uid, bytes, net_.zone_radius(), net::EnergyUse::kRouting);
-        for (const net::NodeId v : zones_->zone(uid)) {
-          net_.charge_rx(v, bytes, net::EnergyUse::kRouting);
-        }
-        ++stats.messages;
-        stats.message_bytes += bytes;
-      }
-    } else {
-      stats.messages += n;
-    }
-
-    // Synchronous relaxation against the previous round's vectors.
-    for (std::size_t u = 0; u < n; ++u) {
-      const net::NodeId uid{static_cast<std::uint32_t>(u)};
-      const auto& zone = zones_->zone(uid);
-      const NodeVec& cu = vec[u];
-      next_val[u] = cu.val;
-      for (std::size_t di = 0; di < cu.dests.size(); ++di) {
-        const net::NodeId dest = cu.dests[di];
-        if (dest == uid) continue;
-        auto& entry = next_val[u][di];
-        double best = entry.first;
-        int best_hops = entry.second;
-        for (std::size_t j = 0; j < zone.size(); ++j) {
-          const net::NodeId v = zone[j];
-          const std::size_t vi = vec[v.v].find(dest);
-          if (vi == kNoEntry) continue;  // v does not advertise dest
-          const double cand = weight[u][j] + vec[v.v].val[vi].first;
-          const int cand_hops = vec[v.v].val[vi].second + 1;
-          // Tie-break on hop count then on neighbor id for determinism.
-          if (cand < best || (cand == best && cand_hops < best_hops)) {
-            best = cand;
-            best_hops = cand_hops;
+    std::uint32_t round = 0;
+    while (!changed.empty() && round < params_.max_rounds) {
+      ++round;
+      sent.clear();
+      for (const std::uint32_t v : changed) sent.emplace_back(v, label[v]);
+      changed.clear();
+      for (const auto& [v, lv] : sent) {
+        for (std::uint32_t a = arcs_begin[v]; a < arcs_begin[v + 1]; ++a) {
+          const std::uint32_t u = arcs[a].to;
+          const Label cand{arcs[a].w + lv.cost, lv.hops + 1};
+          if (cand < label[u]) {
+            label[u] = cand;
+            if (sent_in[u] != round) {
+              sent_in[u] = round;
+              changed.push_back(u);
+            }
           }
         }
-        if (best < entry.first || (best == entry.first && best_hops < entry.second)) {
-          entry = {best, best_hops};
-          changed = true;
-        }
       }
     }
-    for (std::size_t u = 0; u < n; ++u) std::swap(vec[u].val, next_val[u]);
-  }
-  stats.converged = !changed;
+    rounds_to_quiet = std::max<std::size_t>(rounds_to_quiet, round);
+    cut_short = cut_short || !changed.empty();
 
-  // Final tables: best and second-best (distinct first hop) per destination,
-  // derived from the converged neighbor vectors — exactly the "cost of going
-  // to the destination through each of its neighbors" the paper stores.
-  for (std::size_t u = 0; u < n; ++u) {
-    const net::NodeId uid{static_cast<std::uint32_t>(u)};
-    const auto& zone = zones_->zone(uid);
-    tables_[u].reserve(zone.size());
-    for (const net::NodeId dest : zone) {
+    // Table entries for d: best and second-best (distinct first hop) over
+    // the neighbors' final labels -- exactly the "cost of going to the
+    // destination through each of its neighbors" the paper stores.  The
+    // arcs keep zone order, and ascending d makes every insertion an append.
+    for (std::uint32_t i = 1; i < k; ++i) {
       Route best, second;
-      for (std::size_t j = 0; j < zone.size(); ++j) {
-        const net::NodeId v = zone[j];
-        const std::size_t vi = vec[v.v].find(dest);
-        if (vi == static_cast<std::size_t>(-1)) continue;
-        Route cand{v, weight[u][j] + vec[v.v].val[vi].first, vec[v.v].val[vi].second + 1};
+      for (std::uint32_t a = arcs_begin[i]; a < arcs_begin[i + 1]; ++a) {
+        const std::uint32_t t = arcs[a].to;
+        Route cand{net::NodeId{nodes[t]}, arcs[a].w + label[t].cost, label[t].hops + 1};
         const bool better_than_best =
             cand.cost < best.cost ||
             (cand.cost == best.cost && (cand.hops < best.hops ||
@@ -197,7 +158,29 @@ DbfStats RoutingService::rebuild() {
           if (better_than_second) second = cand;
         }
       }
-      tables_[u].set(dest, RouteEntry{best, second});
+      tables_[nodes[i]].set(net::NodeId{d}, RouteEntry{best, second});
+    }
+  }
+
+  DbfStats stats;
+  stats.converged = !cut_short && rounds_to_quiet <= params_.max_rounds;
+  stats.rounds = stats.converged ? rounds_to_quiet : params_.max_rounds;
+
+  // Every node broadcasts its vector (itself plus its zone) once per round.
+  const double energy_before = net_.energy().routing_uj();
+  for (std::size_t round = 0; round < stats.rounds; ++round) {
+    if (!params_.charge_energy) {
+      stats.messages += n;
+      continue;
+    }
+    for (std::size_t u = 0; u < n; ++u) {
+      const net::NodeId uid{static_cast<std::uint32_t>(u)};
+      const auto& zone = zones_->zone(uid);
+      const std::size_t bytes = params_.header_bytes + params_.bytes_per_entry * zone.size();
+      net_.charge_tx(uid, bytes, net_.zone_radius(), net::EnergyUse::kRouting);
+      for (const net::NodeId v : zone) net_.charge_rx(v, bytes, net::EnergyUse::kRouting);
+      ++stats.messages;
+      stats.message_bytes += bytes;
     }
   }
 

@@ -21,9 +21,12 @@
 /// The implementation runs synchronous rounds: every node broadcasts its
 /// distance vector to its zone (one frame at the zone power level), every
 /// node relaxes, and the algorithm stops after the first round in which no
-/// table changed.  Message count and energy are charged to
-/// EnergyUse::kRouting so the mobility experiment can include the cost of
-/// reconvergence (Fig. 12 and the 239-packet break-even analysis).
+/// table changed.  Entries for different destinations never interact, so the
+/// rounds run one destination at a time and re-send only changed entries;
+/// the tables, rounds, messages and energy are those of the all-destination
+/// rounds.  Message count and energy are charged to EnergyUse::kRouting so
+/// the mobility experiment can include the cost of reconvergence (Fig. 12
+/// and the 239-packet break-even analysis).
 
 namespace spms::routing {
 
@@ -32,16 +35,19 @@ struct DbfParams {
   std::size_t header_bytes = 2;     ///< fixed frame overhead of a DV update
   std::size_t bytes_per_entry = 6;  ///< per-destination (id + cost) payload
   bool charge_energy = true;        ///< account DV traffic on the meters
-  std::size_t max_rounds = 256;     ///< safety bound (>= zone diameter + 1)
+  /// Cap on the synchronous rounds.  A build that would need more stops
+  /// after max_rounds rounds, is charged for those, reports converged ==
+  /// false and keeps the routes those rounds found.
+  std::size_t max_rounds = 256;
 };
 
 /// Outcome of one (re)build.
 struct DbfStats {
-  std::size_t rounds = 0;        ///< synchronous rounds until stability
+  std::size_t rounds = 0;        ///< synchronous rounds until stability, at most max_rounds
   std::uint64_t messages = 0;    ///< DV broadcasts sent
   std::uint64_t message_bytes = 0;
   double energy_uj = 0.0;        ///< TX+RX energy charged for the build
-  bool converged = false;        ///< false only if max_rounds tripped
+  bool converged = false;        ///< false only if max_rounds cut the rounds short
 };
 
 /// Owns the zone map and every node's routing table; rebuilt on demand

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "net/topology.hpp"
@@ -85,9 +87,37 @@ TEST(BellmanFordTest, ConvergesWithStats) {
   RoutingService routing(rig.net);
   const auto& stats = routing.last_stats();
   EXPECT_TRUE(stats.converged);
-  EXPECT_GE(stats.rounds, 2u);  // at least one relaxation + one quiet round
+  EXPECT_EQ(stats.rounds, 5u);  // four rounds that improve a route, then a quiet one
   EXPECT_EQ(stats.messages, stats.rounds * rig.net.size());
   EXPECT_GT(stats.message_bytes, 0u);
+}
+
+TEST(BellmanFordTest, PaperGridAccountingIsPinned) {
+  // The 13x13 / 5 m grid with a 20 m zone (fig10-12): the DV traffic and
+  // its energy, to the bit, as the synchronous-round DBF charged them.
+  Rig rig(net::grid_deployment(13, 5.0), 20.0);
+  RoutingService routing(rig.net);
+  const auto& stats = routing.last_stats();
+  EXPECT_TRUE(stats.converged);
+  EXPECT_EQ(stats.rounds, 5u);
+  EXPECT_EQ(stats.messages, 845u);
+  EXPECT_EQ(stats.message_bytes, 185890u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.energy_uj), 0x40eb45a1b020c49aULL);
+}
+
+TEST(BellmanFordTest, MaxRoundsCapsChargedRounds) {
+  // Round 1 finds the 2-hop route 0->2 and round 2 would be the quiet one.
+  // Capped at one round, the build is charged one round (one DV broadcast
+  // per node), reports not converged and keeps what round 1 found.
+  Rig rig({{0, 0}, {5, 0}, {10, 0}}, 12.0);
+  DbfParams params;
+  params.max_rounds = 1;
+  RoutingService routing(rig.net, params);
+  const auto& stats = routing.last_stats();
+  EXPECT_EQ(stats.rounds, 1u);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.messages, 3u);
+  EXPECT_EQ(routing.next_hop(net::NodeId{0}, net::NodeId{2}), net::NodeId{1});
 }
 
 TEST(BellmanFordTest, ChargesRoutingEnergy) {
