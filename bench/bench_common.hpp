@@ -12,7 +12,6 @@
 #include "exp/scenario_registry.hpp"
 #include "exp/store/result_store.hpp"
 #include "exp/table.hpp"
-#include "obs/process_stats.hpp"
 
 /// \file bench_common.hpp
 /// Shared scaffolding for the figure-reproduction binaries.
@@ -84,16 +83,6 @@ inline std::size_t alloc_count() {
   return 0;
 #endif
 }
-
-/// Peak resident set size, in bytes — the shared utility the telemetry
-/// gauge `process.peak_rss_bytes` also reads (obs/process_stats.hpp).
-inline std::size_t peak_rss_bytes() { return obs::peak_rss_bytes(); }
-
-/// Reference experiment configuration (delegates to the registry).
-inline exp::ExperimentConfig reference_config() { return exp::reference_config(); }
-
-/// Transient-failure regime for the failure figures (see the registry).
-inline void scaled_failures(exp::ExperimentConfig& cfg) { exp::scaled_failures(cfg); }
 
 /// Looks up a registry scenario (aborts loudly on a typo) and returns its
 /// SweepSpec, fanned out to K consecutive seeds when SPMS_BENCH_SEEDS=K is

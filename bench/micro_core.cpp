@@ -26,6 +26,7 @@
 
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
+#include "obs/process_stats.hpp"
 #include "routing/bellman_ford.hpp"
 #include "sim/simulation.hpp"
 
@@ -47,7 +48,7 @@ class AllocCounter {
     state_.counters["allocs_per_op"] = benchmark::Counter(
         static_cast<double>(total) / static_cast<double>(state_.iterations()));
     state_.counters["peak_rss_mb"] =
-        benchmark::Counter(static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
+        benchmark::Counter(static_cast<double>(obs::peak_rss_bytes()) / (1024.0 * 1024.0));
   }
 
  private:

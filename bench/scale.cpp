@@ -27,6 +27,7 @@
 
 #define SPMS_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
+#include "obs/process_stats.hpp"
 
 int main(int argc, char** argv) {
   using namespace spms;
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
       events += r.events_executed;
       delivery = r.delivery_ratio;
     }
-    const std::size_t rss = bench::peak_rss_bytes();
+    const std::size_t rss = obs::peak_rss_bytes();
     const std::size_t nodes = spec.base.node_count;
     t.add_row({spec.name, std::to_string(nodes), std::to_string(events),
                exp::fmt(wall_s, 2), exp::fmt(static_cast<double>(events) / wall_s, 0),

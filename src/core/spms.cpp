@@ -447,12 +447,8 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
   if (!next.valid()) {
     // No zone-local route from this relay; fall back to a direct hop when
     // physically possible, otherwise drop and let tau_DAT recover.
-    if (net_.distance_between(self, req.target) <= net_.radio().max_range()) {
-      next = req.target;
-    } else {
-      ++unroutable_;
-      return;
-    }
+    if (net_.distance_between(self, req.target) > net_.radio().max_range()) return;
+    next = req.target;
   }
   req.route.push_back(self);
   req.dst = next;

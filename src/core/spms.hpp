@@ -69,10 +69,6 @@ class SpmsProtocol final : public DisseminationProtocol {
   [[nodiscard]] std::string_view name() const override { return "SPMS"; }
   void publish(net::NodeId source, net::DataId item) override;
 
-  /// Drops of multi-hop frames at relays that had no route to the target
-  /// (rare geometric corner; the requester's tau_DAT recovers).
-  [[nodiscard]] std::uint64_t unroutable_forwards() const { return unroutable_; }
-
  private:
   /// Per (node, item) acquisition state machine.
   struct ItemState {
@@ -180,7 +176,6 @@ class SpmsProtocol final : public DisseminationProtocol {
   SpmsExtensions ext_;
   StateArena arena_;  ///< backs every agent's maps; must outlive agents_
   std::vector<NodeAgent> agents_;
-  std::uint64_t unroutable_ = 0;
 };
 
 }  // namespace spms::core

@@ -37,6 +37,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
 
   // The node nearest the field centre: sink of the kSink pattern, anchor of
   // the sink-churn fault model.
+  net::NodeId central_node{0};
   {
     const net::Point centre{field_side_m_ / 2.0, field_side_m_ / 2.0};
     double best = std::numeric_limits<double>::infinity();
@@ -44,7 +45,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
       const double d = distance(net_->position(net::NodeId{i}), centre);
       if (d < best) {
         best = d;
-        central_node_ = net::NodeId{i};
+        central_node = net::NodeId{i};
       }
     }
   }
@@ -59,7 +60,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
                                                           config_.seed ^ 0xC1057E8ull);
       break;
     case TrafficPattern::kSink:
-      interest_ = std::make_unique<core::SinkInterest>(central_node_);
+      interest_ = std::make_unique<core::SinkInterest>(central_node);
       break;
   }
 
@@ -83,7 +84,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   collector_ = std::make_unique<core::Collector>(config_.percentiles);
   if (config_.faults.any()) {
     faults_ = std::make_unique<faults::FaultController>(*sim_, *net_, config_.faults,
-                                                        central_node_);
+                                                        central_node);
   }
   protocol_->set_delivery_callback(
       [sim = sim_.get(), collector = collector_.get(), faults = faults_.get()](

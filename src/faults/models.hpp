@@ -19,9 +19,8 @@ namespace spms::faults {
 class FaultController;
 
 /// (a) Per-node transient crash/repair renewal — the paper's Section 5.1.2
-/// process (net::FailureInjector) refactored behind the FaultModel
-/// interface.  Same stream, same draw order: a crash-only plan reproduces
-/// the legacy injector's timeline exactly.
+/// process: exponential time between failures, uniform repair, no failure
+/// initiated at or after the horizon, every repair completed.
 class CrashRepairModel final : public FaultModel {
  public:
   CrashRepairModel(FaultController& ctrl, CrashRepairParams params, sim::Rng rng);

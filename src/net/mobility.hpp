@@ -13,7 +13,7 @@
 /// "At some discrete times in the simulator clock, a predefined fraction of
 /// nodes move. The nodes which are to move and their destination are chosen
 /// randomly. Once the routing tables converge, the data transmission starts
-/// all over again."  After each epoch the injector invokes a callback; the
+/// all over again."  After each epoch the process invokes a callback; the
 /// scenario layer uses it to re-run the distributed Bellman-Ford (charging
 /// its energy, which Fig. 12 includes in the measurement).
 

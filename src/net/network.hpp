@@ -229,6 +229,11 @@ class Network {
   /// Backoff elapsed: if the local channel is free, transmit; otherwise
   /// defer to the end of the busy period plus a fresh backoff.
   void mac_try_send(std::uint32_t v);
+  /// Calls visit(v) for every node v other than `center`, up or down, with
+  /// distance_sq <= radius_m²: by a scan in ascending id order below
+  /// kGridMinNodes, else through the grid in cell order.
+  template <typename Visit>
+  void for_each_in_disc(NodeId center, double radius_m, Visit&& visit) const;
   /// Channel acquired: charge energy, occupy the disc, start the airtime.
   void mac_begin_tx(std::uint32_t v);
   /// Airtime elapsed: deliver to the coverage disc, advance the queue.

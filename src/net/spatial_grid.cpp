@@ -8,7 +8,6 @@ namespace spms::net {
 
 void SpatialGrid::reset(double cell_size_m, std::size_t expected_nodes) {
   if (cell_size_m <= 0.0) throw std::invalid_argument{"SpatialGrid: cell size must be positive"};
-  cell_ = cell_size_m;
   inv_cell_ = 1.0 / cell_size_m;
   queries_ = 0;
   cells_.clear();

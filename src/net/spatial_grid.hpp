@@ -70,8 +70,6 @@ class SpatialGrid {
     }
   }
 
-  [[nodiscard]] double cell_size() const { return cell_; }
-
   /// Cumulative visit_disc() calls (observability gauge; reset() clears it).
   [[nodiscard]] std::uint64_t query_count() const { return queries_; }
 
@@ -85,7 +83,6 @@ class SpatialGrid {
   }
   [[nodiscard]] std::uint64_t key_of(Point p) const { return key(coord(p.x), coord(p.y)); }
 
-  double cell_ = 1.0;
   double inv_cell_ = 1.0;
   mutable std::uint64_t queries_ = 0;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;

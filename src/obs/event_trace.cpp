@@ -42,7 +42,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kSpinAdv: return "spin-adv";
     case TraceKind::kSpinReq: return "spin-req";
     case TraceKind::kSpinData: return "spin-data";
-    case TraceKind::kNodeDown: return "node-down";
     case TraceKind::kFloodData: return "flood-data";
     case TraceKind::kGiveUp: return "give-up";
   }

@@ -11,7 +11,7 @@
 /// \file simulation.hpp
 /// The simulation context: clock + event queue + seeded randomness + trace.
 ///
-/// Every model object (radio medium, MAC, protocol agent, failure injector…)
+/// Every model object (radio medium, MAC, protocol agent, fault model…)
 /// holds a reference to one Simulation and interacts with the world only
 /// through it, which keeps runs deterministic and modules decoupled.
 

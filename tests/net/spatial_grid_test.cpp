@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
 #include <set>
 #include <vector>
@@ -130,15 +131,30 @@ std::size_t brute_contention(const Network& net, NodeId center, double radius_m)
   return n;
 }
 
-class GridNetworkTest : public ::testing::TestWithParam<std::uint64_t> {
+/// One random deployment: its size picks the side of Network's query cutover
+/// (kGridMinNodes = 64), the seed its positions and churn.
+struct Deployment {
+  std::size_t nodes;
+  std::uint64_t seed;
+};
+
+// ctest names each case by this print; the instantiation name carries the size.
+void PrintTo(const Deployment& d, std::ostream* os) { *os << d.seed; }
+
+std::vector<Deployment> deployments(std::size_t nodes) {
+  std::vector<Deployment> out;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) out.push_back({nodes, seed});
+  return out;
+}
+
+class GridNetworkTest : public ::testing::TestWithParam<Deployment> {
  protected:
   static constexpr double kZone = 20.0;
-  static constexpr std::size_t kNodes = 120;
 
   void build(std::mt19937_64& gen) {
     std::uniform_real_distribution<double> coord(0.0, 100.0);
     std::vector<Point> pts;
-    for (std::size_t i = 0; i < kNodes; ++i) pts.push_back({coord(gen), coord(gen)});
+    for (std::size_t i = 0; i < GetParam().nodes; ++i) pts.push_back({coord(gen), coord(gen)});
     net = std::make_unique<Network>(sim, RadioTable::mica2(), MacParams{},
                                     EnergyModelParams{}, pts, kZone);
   }
@@ -147,7 +163,7 @@ class GridNetworkTest : public ::testing::TestWithParam<std::uint64_t> {
   /// filters, against brute force.
   void check_all(const char* stage) {
     for (const double r : {kZone, kZone / 2.0, kZone * 2.5, 0.0}) {
-      for (std::uint32_t i = 0; i < kNodes; ++i) {
+      for (std::uint32_t i = 0; i < net->size(); ++i) {
         const NodeId id{i};
         for (const bool down : {true, false}) {
           ASSERT_EQ(net->neighbors_within(id, r, down), brute_neighbors(*net, id, r, down))
@@ -164,15 +180,16 @@ class GridNetworkTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(GridNetworkTest, MatchesBruteForceUnderChurn) {
-  std::mt19937_64 gen(GetParam());
+  std::mt19937_64 gen(GetParam().seed);
   build(gen);
+  const auto n = static_cast<std::uint32_t>(net->size());
   check_all("fresh deployment");
 
   // Mobility: teleport a third of the nodes, some far outside the original
   // field (negative coordinates included).
   std::uniform_real_distribution<double> far(-80.0, 180.0);
-  std::uniform_int_distribution<std::uint32_t> pick(0, kNodes - 1);
-  for (int i = 0; i < static_cast<int>(kNodes) / 3; ++i) {
+  std::uniform_int_distribution<std::uint32_t> pick(0, n - 1);
+  for (std::uint32_t i = 0; i < n / 3; ++i) {
     net->set_position(NodeId{pick(gen)}, {far(gen), far(gen)});
   }
   check_all("after teleports");
@@ -195,7 +212,9 @@ TEST_P(GridNetworkTest, MatchesBruteForceUnderChurn) {
   check_all("teleports with downs");
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, GridNetworkTest, ::testing::Values(1u, 2u, 3u, 4u, 5u));
+// 120 nodes answer through the spatial grid, 40 through the linear scan.
+INSTANTIATE_TEST_SUITE_P(Seeds, GridNetworkTest, ::testing::ValuesIn(deployments(120)));
+INSTANTIATE_TEST_SUITE_P(ScanSeeds, GridNetworkTest, ::testing::ValuesIn(deployments(40)));
 
 TEST(GridNetworkTest2, ScratchBufferOverloadMatchesAllocatingOverload) {
   sim::Simulation sim{3};

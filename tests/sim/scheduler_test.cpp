@@ -263,7 +263,7 @@ TEST(SimulationTest, TraceSinkReceivesEvents) {
 TEST(SimulationTest, TraceDisabledByDefault) {
   Simulation sim{1};
   EXPECT_FALSE(sim.events().enabled());
-  sim.events().emit({.at = sim.now(), .kind = obs::TraceKind::kNodeDown});  // dropped
+  sim.events().emit({.at = sim.now(), .kind = obs::TraceKind::kGiveUp});  // dropped
   EXPECT_EQ(sim.events().emitted(), 0u);
 }
 
