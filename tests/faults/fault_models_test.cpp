@@ -99,6 +99,26 @@ TEST(CrashRepairModelTest, NoFailuresAfterZeroHorizon) {
   EXPECT_EQ(stats.fault_events, 0u);
 }
 
+// Keeps the suite name of the injector that preceded CrashRepairModel.
+TEST(FailureInjectorTest, FailureLandingExactlyOnTheHorizonIsNotInitiated) {
+  // Regression pin for the horizon boundary: the renewal must treat the
+  // horizon itself as past.  With a single node the crash model's first draw
+  // is reproducible from the same fork, so we can aim the horizon exactly at
+  // the first failure instant.
+  sim::Simulation probe{9};
+  auto preview = probe.rng().fork(kCrashStream);
+  CrashRepairParams params;
+  const auto first_wait = preview.exponential(params.mean_time_between_failures);
+
+  Harness h(1, 9);
+  EXPECT_EQ(run_crash_only(h, h.sim.now() + first_wait).node_downs, 0u);
+  // One nanosecond later the same failure is strictly inside the horizon.
+  Harness later(1, 9);
+  EXPECT_GE(run_crash_only(later, later.sim.now() + first_wait + sim::Duration::nanos(1))
+                .node_downs,
+            1u);
+}
+
 TEST(CrashRepairModelTest, TimelineIsPinned) {
   // Pins the renewal's stream and draw order on a 4x4 grid at seed 9 to
   // 500 ms: a change to either moves these values, and every failure figure.
@@ -315,8 +335,9 @@ TEST(StreamIndependenceTest, TogglingOneModelNeverPerturbsAnother) {
 }
 
 TEST(HorizonBoundaryTest, ModelsNeverInitiateAtOrAfterTheHorizon) {
-  // Aim the horizon exactly at the crash model's first failure instant: the
-  // renewal treats the horizon itself as past.
+  // Same construction as FailureLandingExactlyOnTheHorizonIsNotInitiated, at
+  // another seed: aim the horizon exactly at the crash model's first failure
+  // instant.
   sim::Simulation probe{13};
   auto preview = probe.rng().fork(kCrashStream);
   CrashRepairParams params;
@@ -324,11 +345,6 @@ TEST(HorizonBoundaryTest, ModelsNeverInitiateAtOrAfterTheHorizon) {
 
   Harness h(1, 13);
   EXPECT_EQ(run_crash_only(h, h.sim.now() + first_wait).node_downs, 0u);
-  // One nanosecond later the same failure is strictly inside the horizon.
-  Harness later(1, 13);
-  EXPECT_GE(run_crash_only(later, later.sim.now() + first_wait + sim::Duration::nanos(1))
-                .node_downs,
-            1u);
 }
 
 }  // namespace
