@@ -72,10 +72,21 @@ class SinkInterest final : public Interest {
 /// Cluster-based hierarchical interest: the head of the origin's cluster
 /// always wants the item; other nodes inside the origin's zone want it with
 /// probability `p_other` (hash-derived, deterministic).
+///
+/// Heads sit on a grid of `head_spacing_m` cells, cy outer and cx inner: a
+/// cell's head is the node nearest its centre, and on equal distance the
+/// first node in id order wins.  Each node belongs to its nearest head, and
+/// on equal distance to the first head in heads() order.  Both are chosen
+/// once, at construction, by ring searches over cell buckets of the
+/// deployment, O(n) for a deployment without large empty regions.
+/// expected_count() visits a superset of the origin's zone through the
+/// network's spatial grid and applies wants() to each candidate, so it costs
+/// O(zone) per item.  wants() and expected_count() read live positions;
+/// heads() and head_of() stay the construction-time snapshot.
 class ClusterInterest final : public Interest {
  public:
-  /// Chooses cluster heads on a grid of `head_spacing_m` cells (the node
-  /// nearest each cell centre) and assigns every node to its nearest head.
+  /// \throws std::invalid_argument unless `head_spacing_m` is positive and
+  ///         finite.
   ClusterInterest(const net::Network& net, double head_spacing_m, double p_other,
                   std::uint64_t seed);
 
@@ -93,7 +104,6 @@ class ClusterInterest final : public Interest {
   std::uint64_t seed_;
   std::vector<net::NodeId> heads_;
   std::vector<net::NodeId> head_of_;  ///< per node: its cluster head
-  std::vector<bool> is_head_;
 };
 
 }  // namespace spms::core

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/collector.hpp"
 #include "core/interest.hpp"
 #include "net/topology.hpp"
@@ -93,6 +96,13 @@ TEST_F(ClusterInterestTest, ExpectedCountMatchesWants) {
       count += interest.wants(net::NodeId{node}, item);
     }
     EXPECT_EQ(interest.expected_count(item), count);
+  }
+}
+
+TEST_F(ClusterInterestTest, RejectsNonPositiveOrNonFiniteHeadSpacing) {
+  for (const double spacing : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(ClusterInterest(net, spacing, 0.05, 99), std::invalid_argument) << spacing;
   }
 }
 
